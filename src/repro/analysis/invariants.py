@@ -307,32 +307,6 @@ def recovery_time(spec) -> float:
     return recovery
 
 
-def _max_delay_s(spec) -> float:
-    """The worst one-hop network delay the *resolved* topology can
-    produce, mirroring ``ExperimentConfig._max_delay`` exactly.
-    (Taking the max over every topology's knobs — the pre-fix
-    behaviour — inflated uniform-topology pacing by delta/ab_delay,
-    which made ``liveness_applicable`` count lazy voters as fast
-    enough and misjudge genuinely-stalled schedules as violations.)"""
-    candidates = [spec.intra_delay]
-    if spec.topology == "uniform":
-        candidates.append(spec.uniform_delay)
-    else:
-        candidates.extend([spec.delta, spec.ab_delay])
-    return max(candidates)
-
-
-def _per_round_s(spec) -> float:
-    """A round's nominal pacing: Streamlet's fixed slot, or the
-    DiemBFT-family base timeout."""
-    if spec.protocol in ("streamlet", "sft-streamlet"):
-        per_round = spec.streamlet_round_duration
-        if per_round is None:
-            per_round = 2.0 * (_max_delay_s(spec) + spec.jitter) + 0.005
-        return per_round
-    return spec.round_timeout
-
-
 def liveness_bound_s(spec) -> float:
     """How long after recovery commits must resume (seconds).
 
@@ -343,7 +317,7 @@ def liveness_bound_s(spec) -> float:
     stall = max(spec.gst, 0.0)
     for window in spec.partitions:
         stall = max(stall, window.end - window.start)
-    return 12.0 * _per_round_s(spec) + 2.0 * stall
+    return 12.0 * spec.per_round() + 2.0 * stall
 
 
 def liveness_applicable(spec) -> bool:
@@ -382,7 +356,7 @@ def liveness_applicable(spec) -> bool:
         # safe but mute — it is a permanent non-voter, exactly like a
         # crash that never came back.
         non_voting += spec.faults.recover + spec.faults.amnesia
-    if spec.faults.lazy and spec.faults.lazy_delay >= _per_round_s(spec) / 2:
+    if spec.faults.lazy and spec.faults.lazy_delay >= spec.per_round() / 2:
         non_voting += spec.faults.lazy
     if non_voting > f:
         return False
@@ -397,9 +371,9 @@ def liveness_applicable(spec) -> bool:
         # found schedules with no Byzantine faults at all that stall at
         # zero commits this way.  (DiemBFT-family timeouts back off and
         # retry, so bounded reordering only slows them down.)
-        needed = 2.0 * (_max_delay_s(spec) + spec.jitter
+        needed = 2.0 * (spec.max_delay() + spec.jitter
                         + spec.reorder_window) + 0.005
-        if _per_round_s(spec) < needed:
+        if spec.per_round() < needed:
             return False
     if streamlet:
         # Linear vote collection routes Streamlet votes to the leader
@@ -408,7 +382,7 @@ def liveness_applicable(spec) -> bool:
         # correct — four consecutive correct slots, like pre-sync
         # DiemBFT.  (Streamlet has no timeout-vote recovery, so
         # ``sync_enabled`` does not win the window back.)
-        window = 4 if getattr(spec, "linear_votes", False) else 3
+        window = 4 if spec.linear_votes else 3
     else:
         # DiemBFT-family votes already go point-to-point to the next
         # leader, so ``linear_votes`` does not change its window.
@@ -526,14 +500,14 @@ def check_cluster_invariants(cluster, spec=None) -> list:
     replicas = honest_observers(cluster)
     if spec is not None:
         actual_faults = spec.faults.byzantine_total()
-        naive = bool(spec.naive_accounting)
+        naive = spec.naive_accounting
     else:
         crashed = sum(1 for replica in cluster.replicas if replica.crashed)
         actual_faults = len(
             cluster.byzantine_ids
             | {r.replica_id for r in cluster.replicas if r.crashed}
         ) if crashed else len(cluster.byzantine_ids)
-        naive = bool(getattr(cluster.config, "naive_accounting", False))
+        naive = cluster.config.naive_accounting
     violations = []
     violations.extend(check_definition_1(replicas, actual_faults, expected=naive))
     violations.extend(check_prefix_consistency(replicas))

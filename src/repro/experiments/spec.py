@@ -21,7 +21,12 @@ from dataclasses import dataclass, field, fields as dataclass_fields, replace
 from pathlib import Path
 
 from repro.adversary.behaviors import BEHAVIOR_FACTORIES
-from repro.runtime.config import PROTOCOLS, ExperimentConfig, build_cluster
+from repro.runtime.config import (
+    PROTOCOLS,
+    ClusterParams,
+    ExperimentConfig,
+    build_cluster,
+)
 
 #: Scripted (non-cluster) scenario kinds the fuzz engine knows how to
 #: run.  ``"appendix_c"`` replays the paper's Appendix C construction
@@ -226,84 +231,31 @@ class PartitionWindow:
         return (tuple(range(cut)), tuple(range(cut, n)))
 
 
-@dataclass(slots=True)
-class ScenarioSpec:
-    """One named, declarative experiment scenario."""
+@dataclass(slots=True, kw_only=True)
+class ScenarioSpec(ClusterParams):
+    """One named, declarative experiment scenario.
 
-    name: str = "scenario"
-    protocol: str = "sft-diembft"
+    Every protocol and deployment field comes from
+    :class:`~repro.runtime.config.ClusterParams`; the spec overrides a
+    few defaults for small, fast scenarios (scenario TOML and fuzz
+    corpus JSON omit defaults, so these stay fixed) and adds the seed
+    list, the fault mix, and the analysis knobs.
+
+    ``observers`` — observer leaders embed strong-commit events into
+    ``block.commit_log``, which is hashed into the block id and depends
+    on *when* strong QCs accrued; scenarios meant to commit identical
+    chains across transport tiers (``repro rt diff``) must therefore
+    set ``observers = []``.
+    """
+
     n: int = 7
-    f: int | None = None
-    # Topology preset + latency model.
     topology: str = "uniform"
-    delta: float = 0.100
-    region_sizes: tuple = ()
-    intra_delay: float = 0.001
-    ab_delay: float = 0.020
-    uniform_delay: float = 0.010
-    jitter: float = 0.002
-    bandwidth_bytes_per_sec: float = 0.0
-    processing_delay: float = 0.0
-    gst: float = 0.0
-    pre_gst_delay: float = 0.0
-    # At-least-once delivery faults (both default off ⇒ byte-identical
-    # replay): each unicast is duplicated with probability
-    # ``duplicate_rate``, and ``reorder_window`` seconds of extra
-    # per-message delay jitter lets later sends overtake earlier ones.
-    duplicate_rate: float = 0.0
-    reorder_window: float = 0.0
-    # Protocol knobs.
     round_timeout: float = 0.5
-    timeout_multiplier: float = 1.5
-    max_timeout: float = 8.0
-    qc_extra_wait: float = 0.0
-    generalized_intervals: bool = False
-    interval_window: int | None = None
-    naive_accounting: bool = False
-    verify_signatures: bool = True
-    drop_stale_messages: bool = True
     block_batch_count: int = 10
     block_batch_bytes: int = 1_000
-    streamlet_round_duration: float | None = None
-    # Block-sync / catch-up subprotocol; off replays the pre-sync
-    # behaviour byte-for-byte (determinism differentials, corpus
-    # starvation stories).
-    sync_enabled: bool = True
-    # Throughput program (all default-off, same byte-identical-replay
-    # discipline): a real-transaction KV workload at ``workload_rate``
-    # txs/sec feeding per-replica mempools, leaders batching up to
-    # ``batch_size`` transactions / ``max_batch_bytes`` bytes per
-    # block, optional pipelined drains, and linear vote collection.
-    workload_rate: float = 0.0
-    workload_payload_bytes: int = 64
-    batch_size: int = 256
-    max_batch_bytes: int = 0
-    pipelined_proposals: bool = False
-    linear_votes: bool = False
-    # Checkpoint subprotocol: sign state digests every this-many
-    # commits; 2f+1 matching digests truncate history below the stable
-    # checkpoint and let far-behind replicas join via snapshot
-    # transfer.  0 (default) replays pre-checkpoint runs byte-for-byte.
-    checkpoint_interval: int = 0
-    # Observability (repro.obs): ``trace_level`` turns the structured
-    # lifecycle span log on ("spans" adds the block span chain, "full"
-    # also records every message delivery); off replays pre-tracing
-    # runs byte-for-byte.  ``flight_recorder`` keeps the cheap per-
-    # replica crash ring (memory only, never in metrics) that invariant
-    # violations dump as JSON artifacts.
-    trace_level: str = "off"
-    flight_recorder: bool = True
-    # Run control.
     duration: float = 10.0
+    name: str = "scenario"
     seeds: tuple = (1,)
-    # Which replicas track endorsements (Section 5): "all", an int
-    # stride, or an explicit id list — ``[]`` disables the observer
-    # role everywhere.  Observer leaders embed strong-commit events
-    # into block.commit_log, which is hashed into the block id and
-    # depends on *when* strong QCs accrued; scenarios meant to commit
-    # identical chains across transport tiers (``repro rt diff``) must
-    # therefore set ``observers = []``.
-    observers: object = "all"
     # Fault injection.
     faults: FaultMix = field(default_factory=FaultMix)
     partitions: tuple = ()
@@ -382,9 +334,6 @@ class ScenarioSpec:
                 f"(n={self.n}, f={self.resolved_f()})"
             )
 
-    def resolved_f(self) -> int:
-        return self.f if self.f is not None else (self.n - 1) // 3
-
     def with_overrides(self, **kwargs) -> "ScenarioSpec":
         """A copy with the given fields replaced (matrix helper).
 
@@ -403,48 +352,13 @@ class ScenarioSpec:
     # ------------------------------------------------------------------
 
     def to_experiment_config(self, seed: int | None = None) -> ExperimentConfig:
+        shared = {
+            param.name: getattr(self, param.name)
+            for param in dataclass_fields(ClusterParams)
+        }
         return ExperimentConfig(
-            protocol=self.protocol,
-            n=self.n,
-            f=self.f,
-            topology=self.topology,
-            delta=self.delta,
-            region_sizes=self.region_sizes,
-            intra_delay=self.intra_delay,
-            ab_delay=self.ab_delay,
-            uniform_delay=self.uniform_delay,
-            jitter=self.jitter,
-            bandwidth_bytes_per_sec=self.bandwidth_bytes_per_sec,
-            processing_delay=self.processing_delay,
-            gst=self.gst,
-            pre_gst_delay=self.pre_gst_delay,
-            duplicate_rate=self.duplicate_rate,
-            reorder_window=self.reorder_window,
-            round_timeout=self.round_timeout,
-            timeout_multiplier=self.timeout_multiplier,
-            max_timeout=self.max_timeout,
-            qc_extra_wait=self.qc_extra_wait,
-            generalized_intervals=self.generalized_intervals,
-            interval_window=self.interval_window,
-            naive_accounting=self.naive_accounting,
-            verify_signatures=self.verify_signatures,
-            drop_stale_messages=self.drop_stale_messages,
-            block_batch_count=self.block_batch_count,
-            block_batch_bytes=self.block_batch_bytes,
-            streamlet_round_duration=self.streamlet_round_duration,
-            sync_enabled=self.sync_enabled,
-            workload_rate=self.workload_rate,
-            workload_payload_bytes=self.workload_payload_bytes,
-            batch_size=self.batch_size,
-            max_batch_bytes=self.max_batch_bytes,
-            pipelined_proposals=self.pipelined_proposals,
-            linear_votes=self.linear_votes,
-            checkpoint_interval=self.checkpoint_interval,
-            trace_level=self.trace_level,
-            flight_recorder=self.flight_recorder,
-            duration=self.duration,
+            **shared,
             seed=self.seeds[0] if seed is None else seed,
-            observers=self.observers,
             crash_schedule=self.faults.crash_schedule(self.n),
             recovery_schedule=self.faults.recovery_schedule(self.n),
             partition_schedule=tuple(

@@ -25,6 +25,8 @@ _FAULT_FIELDS = (
     "crash", "silent", "equivocate", "withhold", "lazy", "marker_lie",
     "sync_withhold", "recover", "amnesia",
 )
+#: Values a knob resets to once the feature it tunes is shed.
+_DEFAULTS = ScenarioSpec()
 
 
 @dataclass(frozen=True, slots=True)
@@ -126,9 +128,9 @@ def _candidate_overrides(spec: ScenarioSpec):
     if spec.workload_rate:
         yield {
             "workload_rate": 0.0,
-            "batch_size": 256,
-            "max_batch_bytes": 0,
-            "pipelined_proposals": False,
+            "batch_size": _DEFAULTS.batch_size,
+            "max_batch_bytes": _DEFAULTS.max_batch_bytes,
+            "pipelined_proposals": _DEFAULTS.pipelined_proposals,
         }
     if spec.pipelined_proposals:
         yield {"pipelined_proposals": False}

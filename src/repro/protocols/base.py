@@ -29,7 +29,7 @@ material accessors) — never reach into a concrete transport.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
 from repro.crypto.registry import KeyRegistry
@@ -79,17 +79,15 @@ class Clock(Protocol):
     def cancel_timer(self, handle) -> None: ...
 
 
-def round_robin_leader(round_number: int, n: int) -> int:
-    """The paper's leader election: round-robin rotation."""
-    return round_number % n
+@dataclass(slots=True, kw_only=True)
+class ProtocolParams:
+    """Every protocol knob a replica reads, declared once.
 
-
-@dataclass(slots=True)
-class ReplicaConfig:
-    """Static per-replica configuration.
-
-    ``f`` is the assumed Byzantine bound with ``n = 3f + 1`` replicas
-    (quorums have ``2f + 1``).  Knobs:
+    :class:`ReplicaConfig` adds the per-replica identity on top, and
+    :class:`~repro.runtime.config.ClusterParams` (the base of
+    ``ExperimentConfig`` and ``ScenarioSpec``) adds the deployment; both
+    inherit these fields, so a new knob is declared here and nowhere
+    else.  Knobs:
 
     * ``round_timeout`` / ``timeout_multiplier`` / ``max_timeout`` —
       pacemaker timer policy;
@@ -98,13 +96,13 @@ class ReplicaConfig:
       votes (0 disables);
     * ``generalized_intervals`` / ``interval_window`` — Section 3.4
       strong-vote mode;
-    * ``observer`` — whether this replica pays for endorsement /
-      strength bookkeeping (metrics); protocol behaviour is unaffected;
-    * ``naive_endorsement`` — count every indirect vote as an
+    * ``naive_accounting`` — count every indirect vote as an
       endorsement, ignoring markers (the flawed scheme Appendix C
       refutes; only the fuzzer's invariant oracle turns this on);
     * ``verify_signatures`` — validate every signature on receipt
       (on for tests; large benches may disable for speed);
+    * ``drop_stale_messages`` — discard messages from rounds the
+      replica has already left;
     * ``block_batch_count`` / ``block_batch_bytes`` — synthetic payload
       shape (the paper's ~1000 txns / ~450 KB per block);
     * ``sync_enabled`` — the block-sync / catch-up subprotocol
@@ -112,10 +110,6 @@ class ReplicaConfig:
       from peers and recover QCs from timeout-attached votes.  Off
       preserves the pre-sync behaviour byte-for-byte (determinism
       differentials, bench baselines);
-    * ``sync_retry`` / ``sync_max_blocks`` / ``sync_round_lag`` —
-      sync tuning: per-peer response deadline before rotating, blocks
-      per response, and how far the round may run ahead of the local
-      certified tip before a tip catch-up fires;
     * ``batch_size`` / ``max_batch_bytes`` — mempool drain caps when a
       real-transaction workload is attached: at most ``batch_size``
       transactions and (when non-zero) ``max_batch_bytes`` payload
@@ -150,24 +144,18 @@ class ReplicaConfig:
       behaviour, messages, or metrics output.
     """
 
-    n: int
-    f: int
     round_timeout: float = 1.0
     timeout_multiplier: float = 1.5
     max_timeout: float = 8.0
     qc_extra_wait: float = 0.0
     generalized_intervals: bool = False
     interval_window: int | None = None
-    observer: bool = True
-    naive_endorsement: bool = False
+    naive_accounting: bool = False
     verify_signatures: bool = True
     drop_stale_messages: bool = True
     block_batch_count: int = 1000
     block_batch_bytes: int = 450_000
     sync_enabled: bool = True
-    sync_retry: float = 0.25
-    sync_max_blocks: int = 8
-    sync_round_lag: int = 4
     batch_size: int = 256
     max_batch_bytes: int = 0
     pipelined_proposals: bool = False
@@ -175,15 +163,32 @@ class ReplicaConfig:
     checkpoint_interval: int = 0
     trace_level: str = "off"
     flight_recorder: bool = True
-    leader_fn: object = field(default=None)
+
+
+@dataclass(slots=True, kw_only=True)
+class ReplicaConfig(ProtocolParams):
+    """Static per-replica configuration: the protocol knobs plus identity.
+
+    ``f`` is the assumed Byzantine bound with ``n = 3f + 1`` replicas
+    (quorums have ``2f + 1``); ``observer`` says whether this replica
+    pays for endorsement / strength bookkeeping (metrics) — protocol
+    behaviour is unaffected.
+    """
+
+    n: int
+    f: int
+    observer: bool = True
 
     def quorum(self) -> int:
         return 2 * self.f + 1
 
     def leader_of(self, round_number: int) -> int:
-        if self.leader_fn is not None:
-            return self.leader_fn(round_number, self.n)
-        return round_robin_leader(round_number, self.n)
+        """The paper's leader election: round-robin rotation."""
+        return round_number % self.n
+
+    def per_round(self) -> float:
+        """A round's nominal pacing: the base pacemaker timeout."""
+        return self.round_timeout
 
 
 class ReplicaContext:

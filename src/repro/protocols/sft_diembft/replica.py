@@ -59,7 +59,7 @@ class SFTDiemBFTReplica(DiemBFTReplica):
             self.endorsement = EndorsementTracker(
                 self.store,
                 mode="round",
-                naive=self.config.naive_endorsement,
+                naive=self.config.naive_accounting,
             )
         return CommitTracker(
             self.store,

@@ -51,7 +51,7 @@ class SFTStreamletReplica(StreamletReplica):
             self.endorsement = EndorsementTracker(
                 self.store,
                 mode="height",
-                naive=self.config.naive_endorsement,
+                naive=self.config.naive_accounting,
             )
         return CommitTracker(
             self.store,

@@ -32,12 +32,20 @@ from repro.types.vote import Vote
 from repro.types.block import make_genesis
 
 
-@dataclass(slots=True)
+#: Re-multicast every previously unseen message (the echo mechanism
+#: behind Streamlet's O(n³) per-round message complexity).
+ECHO_ENABLED = True
+
+
+@dataclass(slots=True, kw_only=True)
 class StreamletConfig(ReplicaConfig):
     """Streamlet adds the lock-step round duration (``2Δ``)."""
 
     round_duration: float = 0.5
-    echo_enabled: bool = True
+
+    def per_round(self) -> float:
+        """A round's nominal pacing: the fixed lock-step slot."""
+        return self.round_duration
 
 
 class StreamletReplica(BaseReplica):
@@ -300,7 +308,7 @@ class StreamletReplica(BaseReplica):
             if key in self._seen_message_keys:
                 return
             self._seen_message_keys.add(key)
-            if self.config.echo_enabled and self._should_echo(message):
+            if ECHO_ENABLED and self._should_echo(message):
                 self.context.multicast(
                     EchoMsg(sender=self.replica_id, inner=message, origin=src),
                     include_self=False,

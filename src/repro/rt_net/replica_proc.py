@@ -77,13 +77,7 @@ class ReplicaHost:
             self.experiment.replica_config(replica_id), context
         )
 
-        replica_config = self.replica.config
-        self.mempool = Mempool(
-            max_block_transactions=replica_config.batch_size,
-            max_block_bytes=replica_config.max_batch_bytes,
-            pipelined=replica_config.pipelined_proposals,
-            inflight_timeout=8.0 * replica_config.round_timeout,
-        )
+        self.mempool = Mempool.for_replica(self.replica.config)
         #: The replica's built-in synthetic-batch source, kept as the
         #: fallback so an idle mempool proposes exactly the payloads the
         #: simulator tier proposes (same digest fields) — that is what

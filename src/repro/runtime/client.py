@@ -52,6 +52,19 @@ class Mempool:
         self._in_flight: dict = {}  # txid -> eligibility deadline
         self.submitted = 0
 
+    @classmethod
+    def for_replica(cls, config) -> "Mempool":
+        """The mempool a replica with this ``ReplicaConfig`` drains:
+        its batch caps and drain discipline, with in-flight entries
+        outliving a full 3-chain commit plus feedback lag (eight
+        rounds) before re-qualifying for proposals."""
+        return cls(
+            max_block_transactions=config.batch_size,
+            max_block_bytes=config.max_batch_bytes,
+            pipelined=config.pipelined_proposals,
+            inflight_timeout=8.0 * config.per_round(),
+        )
+
     def submit(self, transaction: Transaction) -> None:
         self._pending[transaction.txid()] = transaction
         self.submitted += 1
@@ -115,6 +128,12 @@ class CommitFeedback:
         self.mempools = mempools
         self.interval = interval
         self._cursors = {replica.replica_id: 0 for replica in cluster.replicas}
+
+    def watch(self, replica_id: int, mempool: Mempool) -> None:
+        """Drain ``mempool`` from the start of ``replica_id``'s commit
+        log (a restarted replica's log starts over)."""
+        self.mempools[replica_id] = mempool
+        self._cursors[replica_id] = 0
 
     def start(self) -> None:
         self.cluster.simulator.schedule_at(self.interval, self._tick)

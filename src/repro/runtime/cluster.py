@@ -75,11 +75,11 @@ class Cluster:
             else dict(replica_overrides)
         )
         self.byzantine_ids = frozenset(overrides)
-        if getattr(self.config, "trace_level", "off") != "off":
+        if self.config.trace_level != "off":
             from repro.obs import TraceLog
 
             self.trace = TraceLog()
-        if getattr(self.config, "recovery_schedule", ()):
+        if self.config.recovery_schedule:
             from repro.types.wal import DurableDisk
 
             self.durable = DurableDisk()
@@ -98,9 +98,9 @@ class Cluster:
             replica = replica_class(self.config.replica_config(replica_id), context)
             self.replicas.append(replica)
             self.network.register(replica_id, replica)
-        for groups, start, end in getattr(self.config, "partition_schedule", ()):
+        for groups, start, end in self.config.partition_schedule:
             self.network.add_partition(groups, start, end)
-        if getattr(self.config, "workload_rate", 0.0) > 0:
+        if self.config.workload_rate > 0:
             from repro.runtime.workload import KVWorkload
 
             self.workload = KVWorkload(
@@ -129,8 +129,7 @@ class Cluster:
             self.simulator.schedule_at(
                 crash_time, self.replicas[replica_id].crash
             )
-        for entry in getattr(self.config, "recovery_schedule", ()):
-            replica_id, crash_time, restart_time = entry
+        for replica_id, crash_time, restart_time in self.config.recovery_schedule:
             # Indirection through self.replicas: restart replaces the
             # instance, so later events must not capture it eagerly.
             self.simulator.schedule_at(
@@ -181,6 +180,8 @@ class Cluster:
         )
         self.replicas[replica_id] = replica
         self.network.register(replica_id, replica)
+        if self.workload is not None:
+            self.workload.attach(replica)
         if restores:
             state = self.durable.peek(replica_id)
             if state is not None:

@@ -11,7 +11,7 @@ The defaults mirror the paper's evaluation: ``n = 100`` (``f = 33``),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 from repro.net.network import Network, NetworkConfig
 from repro.net.simulator import Simulator
@@ -22,15 +22,23 @@ from repro.net.topology import (
     Topology,
     UniformTopology,
 )
-from repro.protocols.base import ReplicaConfig
+from repro.protocols.base import ProtocolParams, ReplicaConfig
 from repro.protocols.streamlet.replica import StreamletConfig
 
 PROTOCOLS = ("diembft", "sft-diembft", "fbft", "streamlet", "sft-streamlet")
+STREAMLET_PROTOCOLS = ("streamlet", "sft-streamlet")
 
 
-@dataclass(slots=True)
-class ExperimentConfig:
-    """One simulated experiment.
+@dataclass(slots=True, kw_only=True)
+class ClusterParams(ProtocolParams):
+    """The deployment around the protocol knobs, declared once.
+
+    :class:`ExperimentConfig` and
+    :class:`~repro.experiments.spec.ScenarioSpec` both inherit every
+    field here (each may override a default), so resolving a spec into
+    a config — and a config into per-replica
+    :class:`~repro.protocols.base.ReplicaConfig` objects — copies
+    fields by name instead of by hand.
 
     ``topology`` is ``"uniform"``, ``"symmetric"``, ``"asymmetric"``
     (Figure 6), or ``"regions"`` (custom ``region_sizes`` with a flat
@@ -38,11 +46,6 @@ class ExperimentConfig:
     delay δ.  ``observers`` selects which replicas pay for
     endorsement/strength bookkeeping: ``"all"``, an integer stride
     (every k-th replica), or an explicit iterable of ids.
-
-    ``partition_schedule`` holds ``(groups, start, end)`` entries —
-    each partitions the replica set into ``groups`` during the
-    ``[start, end)`` window and heals afterwards (late delivery, see
-    :meth:`repro.net.network.Network.add_partition`).
     """
 
     protocol: str = "sft-diembft"
@@ -66,58 +69,70 @@ class ExperimentConfig:
     # window that lets messages overtake each other.
     duplicate_rate: float = 0.0
     reorder_window: float = 0.0
-    # Protocol knobs.
-    round_timeout: float = 1.0
-    timeout_multiplier: float = 1.5
-    max_timeout: float = 8.0
-    qc_extra_wait: float = 0.0
-    generalized_intervals: bool = False
-    interval_window: int | None = None
-    naive_accounting: bool = False
-    verify_signatures: bool = True
-    drop_stale_messages: bool = True
-    block_batch_count: int = 1000
-    block_batch_bytes: int = 450_000
+    # Streamlet's lock-step slot; None derives it from the topology.
     streamlet_round_duration: float | None = None
-    # Block-sync / catch-up subprotocol (repro.sync); off preserves the
-    # pre-sync runs byte-for-byte.
-    sync_enabled: bool = True
-    # Throughput program: real-transaction workload, batching,
-    # pipelining, linear vote collection.  workload_rate = 0 keeps the
-    # synthetic-payload path byte-for-byte; linear_votes off keeps the
-    # all-to-all vote flow byte-for-byte.
+    # Real-transaction KV workload at this many txs/sec feeding
+    # per-replica mempools; 0 keeps the synthetic-payload path
+    # byte-for-byte.
     workload_rate: float = 0.0
     workload_payload_bytes: int = 64
-    batch_size: int = 256
-    max_batch_bytes: int = 0
-    pipelined_proposals: bool = False
-    linear_votes: bool = False
-    # Checkpointing (repro.sync.checkpoint): every this-many commits
-    # replicas sign state digests; 2f+1 matching digests truncate
-    # history and enable snapshot joins.  0 keeps runs byte-for-byte.
-    checkpoint_interval: int = 0
-    # Observability (repro.obs): span-chain tracing level ("off",
-    # "spans", "full") and the always-on per-replica flight-recorder
-    # ring.  trace_level off keeps runs byte-for-byte; the flight ring
-    # never feeds behaviour or metrics.
-    trace_level: str = "off"
-    flight_recorder: bool = True
     # Run control.
     duration: float = 60.0
-    seed: int = 1
     observers: object = "all"
+
+    def resolved_f(self) -> int:
+        return self.f if self.f is not None else (self.n - 1) // 3
+
+    def with_overrides(self, **kwargs):
+        """A copy with the given fields replaced (sweep helper)."""
+        return replace(self, **kwargs)
+
+    def observer_ids(self) -> tuple:
+        if self.observers == "all":
+            return tuple(range(self.n))
+        if isinstance(self.observers, int):
+            stride = max(1, self.observers)
+            return tuple(range(0, self.n, stride))
+        return tuple(self.observers)
+
+    def max_delay(self) -> float:
+        """The worst one-hop network delay the resolved topology can
+        produce (Streamlet's Δ).  Only the active topology's knobs
+        count: a uniform topology ignores ``delta`` / ``ab_delay``."""
+        candidates = [self.intra_delay]
+        if self.topology == "uniform":
+            candidates.append(self.uniform_delay)
+        else:
+            candidates.extend([self.delta, self.ab_delay])
+        return max(candidates)
+
+    def per_round(self) -> float:
+        """A round's nominal pacing: Streamlet's fixed ``2Δ`` slot, or
+        the DiemBFT-family base timeout."""
+        if self.protocol in STREAMLET_PROTOCOLS:
+            if self.streamlet_round_duration is not None:
+                return self.streamlet_round_duration
+            return 2.0 * (self.max_delay() + self.jitter) + 0.005
+        return self.round_timeout
+
+
+@dataclass(slots=True, kw_only=True)
+class ExperimentConfig(ClusterParams):
+    """One simulated experiment: the deployment, one seed, and the
+    resolved fault schedules.
+
+    ``partition_schedule`` holds ``(groups, start, end)`` entries —
+    each partitions the replica set into ``groups`` during the
+    ``[start, end)`` window and heals afterwards (late delivery, see
+    :meth:`repro.net.network.Network.add_partition`).
+    """
+
+    seed: int = 1
     crash_schedule: tuple = ()  # (replica_id, time) pairs
     # (replica_id, crash_time, restart_time) triples; non-empty turns
     # on the durable WAL disk and the restart machinery.
     recovery_schedule: tuple = ()
     partition_schedule: tuple = ()  # (groups, start, end) entries
-
-    def resolved_f(self) -> int:
-        return self.f if self.f is not None else (self.n - 1) // 3
-
-    def with_overrides(self, **kwargs) -> "ExperimentConfig":
-        """A copy with the given fields replaced (sweep helper)."""
-        return replace(self, **kwargs)
 
     # ------------------------------------------------------------------
     # derived pieces
@@ -166,56 +181,19 @@ class ExperimentConfig:
             reorder_window=self.reorder_window,
         )
 
-    def observer_ids(self) -> tuple:
-        if self.observers == "all":
-            return tuple(range(self.n))
-        if isinstance(self.observers, int):
-            stride = max(1, self.observers)
-            return tuple(range(0, self.n, stride))
-        return tuple(self.observers)
-
     def replica_config(self, replica_id: int) -> ReplicaConfig:
-        observing = replica_id in set(self.observer_ids())
-        common = dict(
+        params = {
+            param.name: getattr(self, param.name)
+            for param in fields(ProtocolParams)
+        }
+        params.update(
             n=self.n,
             f=self.resolved_f(),
-            round_timeout=self.round_timeout,
-            timeout_multiplier=self.timeout_multiplier,
-            max_timeout=self.max_timeout,
-            qc_extra_wait=self.qc_extra_wait,
-            generalized_intervals=self.generalized_intervals,
-            interval_window=self.interval_window,
-            observer=observing,
-            naive_endorsement=self.naive_accounting,
-            verify_signatures=self.verify_signatures,
-            drop_stale_messages=self.drop_stale_messages,
-            block_batch_count=self.block_batch_count,
-            block_batch_bytes=self.block_batch_bytes,
-            sync_enabled=self.sync_enabled,
-            batch_size=self.batch_size,
-            max_batch_bytes=self.max_batch_bytes,
-            pipelined_proposals=self.pipelined_proposals,
-            linear_votes=self.linear_votes,
-            checkpoint_interval=self.checkpoint_interval,
-            trace_level=self.trace_level,
-            flight_recorder=self.flight_recorder,
+            observer=replica_id in set(self.observer_ids()),
         )
-        if self.protocol in ("streamlet", "sft-streamlet"):
-            duration = self.streamlet_round_duration
-            if duration is None:
-                duration = 2.0 * (self._max_delay() + self.jitter) + 0.005
-            return StreamletConfig(round_duration=duration, **common)
-        return ReplicaConfig(**common)
-
-    def _max_delay(self) -> float:
-        topology = self.build_topology()
-        candidates = [self.intra_delay]
-        if self.topology == "uniform":
-            candidates.append(self.uniform_delay)
-        else:
-            candidates.extend([self.delta, self.ab_delay])
-        del topology
-        return max(candidates)
+        if self.protocol in STREAMLET_PROTOCOLS:
+            return StreamletConfig(round_duration=self.per_round(), **params)
+        return ReplicaConfig(**params)
 
 
 def build_cluster(config: ExperimentConfig, replica_overrides: dict | None = None):

@@ -61,24 +61,23 @@ class KVWorkload:
         self.submitted = 0
         self._interval = 1.0 / rate
         self.mempools: dict[int, Mempool] = {}
-        for replica in cluster.replicas:
-            config = replica.config
-            per_round = getattr(config, "round_duration", None)
-            if not per_round:
-                per_round = config.round_timeout
-            mempool = Mempool(
-                max_block_transactions=config.batch_size,
-                max_block_bytes=config.max_batch_bytes,
-                pipelined=config.pipelined_proposals,
-                # In-flight entries outlive a full 3-chain commit plus
-                # feedback lag before re-qualifying for proposals.
-                inflight_timeout=8.0 * per_round,
-            )
-            self.mempools[replica.replica_id] = mempool
-            replica.payload_source = mempool.make_payload
         self.feedback = CommitFeedback(
             cluster, self.mempools, interval=feedback_interval
         )
+        for replica in cluster.replicas:
+            self.attach(replica)
+
+    def attach(self, replica) -> None:
+        """Give ``replica`` a fresh mempool and drain it into its blocks.
+
+        Called for every replica at build time and again for each
+        restarted instance: the mempool is volatile state the crash
+        lost, and the reborn replica must propose the transactions
+        routed to it afterwards.
+        """
+        mempool = Mempool.for_replica(replica.config)
+        replica.payload_source = mempool.make_payload
+        self.feedback.watch(replica.replica_id, mempool)
 
     def start(self) -> None:
         simulator = self.cluster.simulator

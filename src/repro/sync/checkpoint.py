@@ -35,6 +35,7 @@ from dataclasses import dataclass, field, replace
 from repro.app.kvstore import LedgerExecutor
 from repro.core.commit_rules import CommitEvent
 from repro.crypto.hashing import hash_fields
+from repro.sync.manager import SYNC_RETRY, SYNC_ROUND_LAG
 from repro.types.messages import (
     CheckpointMsg,
     SnapshotRequestMsg,
@@ -406,7 +407,7 @@ class CheckpointManager:
         self.context.send(fetch.peer, request)
         # Snapshots are bulky; give peers a few sync-retry budgets.
         fetch.timer = self.context.set_timer(
-            4.0 * self.config.sync_retry, self._retry, fetch.nonce
+            4.0 * SYNC_RETRY, self._retry, fetch.nonce
         )
 
     def _retry(self, nonce: int) -> None:
@@ -654,7 +655,7 @@ class CheckpointManager:
         # once something above the checkpoint round is certified).
         if replica.sync is not None:
             replica.sync.note_round_lag(
-                msg.block.round + self.config.sync_round_lag + 1,
+                msg.block.round + SYNC_ROUND_LAG + 1,
                 msg.block.round,
             )
 

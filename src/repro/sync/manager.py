@@ -13,7 +13,7 @@ on.  The manager mirrors DiemBFT's block-retrieval subprotocol:
 * **fetching** — one in-flight request per missing target, sent to one
   peer at a time with a deterministic rotation order; an unanswered or
   useless request is retried against the next peer after
-  ``sync_retry`` seconds (this is what defeats response-withholding
+  ``SYNC_RETRY`` seconds (this is what defeats response-withholding
   peers);
 * **validation** — a response is applied only if its chain links
   hash-to-hash, every embedded QC (and the optional tip QC)
@@ -21,7 +21,7 @@ on.  The manager mirrors DiemBFT's block-retrieval subprotocol:
   structurally extend their parents; any failure rejects the whole
   response *before* the block store is touched;
 * **iterated deepening** — one response carries at most
-  ``sync_max_blocks`` ancestors; if the oldest received block's parent
+  ``SYNC_MAX_BLOCKS`` ancestors; if the oldest received block's parent
   is still unknown the manager immediately chases it, so arbitrarily
   deep gaps close in a bounded number of round trips.
 
@@ -37,6 +37,15 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 from repro.types.messages import SyncRequestMsg, SyncResponseMsg
+
+#: Per-peer response deadline (seconds) before a fetch rotates to the
+#: next peer.
+SYNC_RETRY = 0.25
+#: Blocks one sync response carries at most.
+SYNC_MAX_BLOCKS = 8
+#: How many rounds the round may run ahead of the local certified tip
+#: before a tip catch-up fires.
+SYNC_ROUND_LAG = 4
 
 #: Sentinel key for the tip (round-lag) fetch in the in-flight table.
 _TIP = None
@@ -147,13 +156,11 @@ class SyncManager:
 
     def note_round_lag(self, round_number: int, certified_round: int) -> None:
         """The round advanced past the local certified tip by too much."""
-        if round_number - certified_round <= self.config.sync_round_lag:
+        if round_number - certified_round <= SYNC_ROUND_LAG:
             return
         if _TIP in self._fetches:
             return
-        self._start_fetch(
-            _TIP, goal_round=round_number - self.config.sync_round_lag
-        )
+        self._start_fetch(_TIP, goal_round=round_number - SYNC_ROUND_LAG)
 
     # ------------------------------------------------------------------
     # fetching with retry + peer rotation
@@ -185,7 +192,7 @@ class SyncManager:
         request = SyncRequestMsg(
             sender=self.replica.replica_id,
             target=fetch.target,
-            max_blocks=self.config.sync_max_blocks,
+            max_blocks=SYNC_MAX_BLOCKS,
             nonce=fetch.nonce,
         )
         signature = self.context.signing_key.sign(request.signing_payload())
@@ -201,7 +208,7 @@ class SyncManager:
             )
         self.context.send(fetch.peer, request)
         fetch.timer = self.context.set_timer(
-            self.config.sync_retry, self._retry, fetch.target, fetch.nonce
+            SYNC_RETRY, self._retry, fetch.target, fetch.nonce
         )
 
     def _retry(self, target, nonce: int) -> None:
@@ -254,7 +261,7 @@ class SyncManager:
         else:
             start = store.maybe_get(msg.target)
         blocks = []
-        limit = max(1, min(msg.max_blocks, self.config.sync_max_blocks))
+        limit = max(1, min(msg.max_blocks, SYNC_MAX_BLOCKS))
         cursor = start
         while (
             cursor is not None

@@ -1,5 +1,6 @@
 """Protocol edge paths: stale messages, orphans, TC proposals, extremes."""
 
+from repro.protocols.base import ReplicaConfig
 from repro.runtime.config import build_cluster
 from repro.runtime.metrics import check_commit_safety
 from tests.conftest import small_experiment
@@ -51,7 +52,7 @@ class TestMinimalCluster:
         ]
         assert late == []  # …but nothing commits
 
-    def test_n4_one_crash_recovers_with_leader_exclusion(self):
+    def test_n4_one_crash_recovers_with_leader_exclusion(self, monkeypatch):
         """Production systems rotate leaders among healthy replicas
         (Diem's leader reputation); excluding the dead replica from
         the rotation restores the consecutive-round window."""
@@ -59,11 +60,11 @@ class TestMinimalCluster:
                                   crash_schedule=((3, 1.0),))
         cluster = build_cluster(config)
         cluster.build()
-        # Reconfigure every live replica's leader function to skip 3.
-        for replica in cluster.replicas:
-            replica.config.leader_fn = lambda round_number, n: (
-                round_number % 3
-            )
+        # Swap every replica's leader rotation for one that skips 3.
+        monkeypatch.setattr(
+            ReplicaConfig, "leader_of",
+            lambda config, round_number: round_number % 3,
+        )
         cluster.run()
         survivors = [r for r in cluster.replicas if not r.crashed]
         check_commit_safety(survivors)

@@ -1,5 +1,6 @@
 """Streamlet and SFT-Streamlet end-to-end."""
 
+import repro.protocols.streamlet.replica as streamlet_replica
 from repro.runtime.config import build_cluster
 from repro.runtime.metrics import check_commit_safety, throughput_txps
 from tests.conftest import small_experiment
@@ -27,24 +28,16 @@ class TestStreamlet:
         assert stats.get("VoteMsg", 0) > 0
         assert stats.get("EchoMsg", 0) > stats.get("VoteMsg", 0)
 
-    def test_echo_disabled_cuts_traffic(self):
+    def test_echo_disabled_cuts_traffic(self, monkeypatch):
         with_echo = build_cluster(streamlet_experiment()).run()
-        config = streamlet_experiment()
-        cluster = build_cluster(config)
-        cluster.build()
-        # Echo is a StreamletConfig flag; rebuild with it off.
-        config_no_echo = streamlet_experiment()
-        no_echo_cluster = build_cluster(config_no_echo)
-        no_echo_cluster.build()
-        for replica in no_echo_cluster.replicas:
-            replica.config.echo_enabled = False
-        no_echo_cluster.run()
+        # Echo is a module-level switch; rerun the same run with it off.
+        monkeypatch.setattr(streamlet_replica, "ECHO_ENABLED", False)
+        no_echo_cluster = build_cluster(streamlet_experiment()).run()
         assert (
             no_echo_cluster.network.messages_sent
             < with_echo.network.messages_sent
         )
         check_commit_safety(no_echo_cluster.replicas)
-        del cluster
 
     def test_commit_is_middle_of_three_chain(self):
         cluster = build_cluster(streamlet_experiment()).run()

@@ -12,7 +12,7 @@ import json
 import multiprocessing
 from pathlib import Path
 
-from repro.experiments import Campaign, CampaignRunner, ScenarioSpec, run_job
+from repro.experiments import Campaign, CampaignRunner, FaultMix, ScenarioSpec, run_job
 from repro.experiments.campaign import Job
 
 ROOT = Path(__file__).resolve().parents[2]
@@ -79,6 +79,31 @@ class TestBatchedWorkload:
             "e2e_p50_s": None,
             "e2e_p99_s": None,
         }
+
+
+class TestWorkloadAcrossRestart:
+    def test_reborn_replica_proposes_txs_routed_to_it(self):
+        # Replica 3 crashes at 1.0 s and restarts from its WAL at 1.5 s
+        # while the workload keeps routing every fourth tx to it.  The
+        # reborn instance must drain a mempool of its own, or none of
+        # those txs is ever proposed.
+        spec = _workload_spec(
+            name="tput-restart", duration=6.0, workload_rate=200.0,
+            faults=FaultMix(recover=1, recover_at=1.0, downtime=0.5),
+        )
+        cluster = spec.build(spec.seeds[0]).run()
+        assert cluster.restarts == 1
+        reference = cluster.replicas[0]
+        routed_after_restart = {
+            transaction.txid()
+            for event in reference.commit_tracker.commit_order
+            for transaction in reference.store.maybe_get(
+                event.block_id
+            ).payload.transactions
+            if transaction.client_id == 3 and transaction.submitted_at > 1.5
+        }
+        # 200 tx/s over 4.5 s, a quarter of them routed to replica 3.
+        assert len(routed_after_restart) > 100
 
 
 class TestPipelinedProposals:

@@ -9,7 +9,9 @@ from dataclasses import replace
 
 import pytest
 
+import repro.sync.manager as sync_manager
 from repro.experiments.spec import ScenarioSpec
+from repro.sync.manager import SYNC_RETRY
 from repro.types.messages import SyncRequestMsg, SyncResponseMsg
 from repro.types.quorum_cert import QuorumCertificate
 from repro.types.vote import Vote
@@ -208,7 +210,7 @@ class TestRetryAndRotation:
         replica.sync.note_missing(target)
         assert [dst for dst, _ in sent] == [1]
         # Nobody answers: the retry timer must rotate to the next peer.
-        cluster.simulator.run_until(replica.config.sync_retry * 2.5)
+        cluster.simulator.run_until(SYNC_RETRY * 2.5)
         peers = [dst for dst, _ in sent]
         assert peers[:3] == [1, 2, 3]
         assert replica.sync.peer_rotations >= 2
@@ -218,7 +220,7 @@ class TestRetryAndRotation:
         replica = cluster.replicas[2]
         sent = capture_sends(replica)
         replica.sync.note_missing(donor_chain(donor, 1)[0].id())
-        cluster.simulator.run_until(replica.config.sync_retry * 4)
+        cluster.simulator.run_until(SYNC_RETRY * 4)
         assert 2 not in [dst for dst, _ in sent]
 
     def test_empty_miss_rotates_immediately(self, donor):
@@ -260,10 +262,10 @@ class TestApply:
         assert replica.sync.inflight() == 0
         assert replica.sync.blocks_synced == len(full)
 
-    def test_deep_gap_chases_missing_parent(self, donor):
+    def test_deep_gap_chases_missing_parent(self, donor, monkeypatch):
+        monkeypatch.setattr(sync_manager, "SYNC_MAX_BLOCKS", 2)
         cluster = build_cluster()
         replica = cluster.replicas[0]
-        replica.config.sync_max_blocks = 2
         sent = capture_sends(replica)
         chain = donor_chain(donor, 4)
         replica.sync.note_missing(chain[0].id())
