@@ -99,8 +99,30 @@ class CommitTracker:
         #: attaches; ``endorse`` lifecycle spans are emitted here, the
         #: one place strength raises happen for every protocol family.
         self.tracer = None
+        self._commit_listeners: list = []
         if endorsement is not None and rule == "diembft":
             endorsement.add_listener(self._on_endorser_update)
+
+    def add_commit_listener(self, listener) -> None:
+        """Call ``listener(events)`` after each batch of new commits.
+
+        ``events`` is the list of :class:`CommitEvent` just appended to
+        ``commit_order``, oldest first — one call per 3-chain commit or
+        snapshot install.  Listeners run synchronously inside the
+        commit path, so they must not re-enter the replica.
+        """
+        self._commit_listeners.append(listener)
+
+    def _append_commits(self, events: list) -> None:
+        """The one writer of ``commit_order``: record, then notify."""
+        for event in events:
+            self.committed[event.block_id] = event
+            self.commit_order.append(event)
+            if event.round > self.highest_committed_round:
+                self.highest_committed_round = event.round
+        if events:
+            for listener in self._commit_listeners:
+                listener(events)
 
     # ------------------------------------------------------------------
     # regular commits
@@ -165,21 +187,37 @@ class CommitTracker:
             if cursor.parent_id is None:
                 break
             cursor = self._store.maybe_get(cursor.parent_id)
-        newly = []
-        for blk in reversed(pending):
-            event = CommitEvent(
+        newly = [
+            CommitEvent(
                 block_id=blk.id(),
                 round=blk.round,
                 height=blk.height,
                 committed_at=now,
                 created_at=blk.created_at,
             )
-            self.committed[blk.id()] = event
-            self.commit_order.append(event)
-            newly.append(event)
-            if blk.round > self.highest_committed_round:
-                self.highest_committed_round = blk.round
+            for blk in reversed(pending)
+        ]
+        self._append_commits(newly)
         return newly
+
+    def install_snapshot(self, block: Block, now: float) -> None:
+        """Commit a snapshot-transferred checkpoint block directly.
+
+        The commit log jumps to the checkpoint height, recorded in
+        ``snapshot_heights``; an already committed block is left as is.
+        """
+        if block.id() in self.committed:
+            return
+        self.snapshot_heights.add(block.height)
+        self._append_commits([
+            CommitEvent(
+                block_id=block.id(),
+                round=block.round,
+                height=block.height,
+                committed_at=now,
+                created_at=block.created_at,
+            )
+        ])
 
     def is_committed(self, block_id: BlockId) -> bool:
         return block_id in self.committed

@@ -16,15 +16,18 @@ the simulator tier:
 * submits client transactions (``ClientRequestMsg`` frames from the
   client fleet) into a per-replica :class:`~repro.runtime.client.Mempool`
   wired as the replica's ``payload_source``;
-* polls the commit log and answers each routed transaction's client
-  with a ``ClientReplyMsg`` (clients ack at f+1 matching replies);
+* listens on the replica's commit tracker and, one loop pass after
+  each commit, answers every routed transaction's client with a
+  ``ClientReplyMsg`` (clients ack at f+1 matching replies);
 * on SIGTERM (the manager's stop signal) snapshots the committed chain
-  and metrics into a result JSON and exits cleanly.
+  and metrics into a result JSON, stops the transport, and exits
+  cleanly.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import json
 import signal
 import sys
@@ -38,8 +41,6 @@ from repro.runtime.cluster import _PROTOCOL_CLASSES
 from repro.rt_net.transport import TcpTransport, WallClock
 from repro.types.messages import ClientReplyMsg, ClientRequestMsg
 
-#: Commit-log poll cadence for client replies (wall seconds).
-_FEEDBACK_INTERVAL = 0.05
 #: Self-destruct margin past the configured duration, in case the
 #: manager dies without sending SIGTERM.
 _ORPHAN_GRACE = 60.0
@@ -87,9 +88,13 @@ class ReplicaHost:
         #: txid -> client id, for routing commit acknowledgements.
         self._routes: dict = {}
         self._commit_cursor = 0
+        self._drain_pending = False
+        self.replica.commit_tracker.add_commit_listener(self._on_commits)
         self.committed: list = []
         self.replies_sent = 0
         self._stopping = False
+        self._main_task = None
+        self._stop_task = None
 
     # ------------------------------------------------------------------
     # message plumbing
@@ -115,7 +120,19 @@ class ReplicaHost:
     # commit feedback
     # ------------------------------------------------------------------
 
-    def _poll_commits(self) -> None:
+    def _on_commits(self, events) -> None:
+        """Commit listener: schedule one drain for the next loop pass.
+
+        Replies never go out from inside the commit path.  ``call_later``
+        (not ``call_soon``) puts the drain behind the sender tasks the
+        same QC woke, so the proposal and vote frames leave first.
+        """
+        if not self._drain_pending:
+            self._drain_pending = True
+            self.loop.call_later(0, self._drain_commits)
+
+    def _drain_commits(self) -> None:
+        self._drain_pending = False
         replica = self.replica
         commit_order = replica.commit_tracker.commit_order
         cursor = self._commit_cursor
@@ -146,8 +163,6 @@ class ReplicaHost:
                 )
                 self.replies_sent += 1
         self._commit_cursor = cursor
-        if not self._stopping:
-            self.loop.call_later(_FEEDBACK_INTERVAL, self._poll_commits)
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -178,7 +193,7 @@ class ReplicaHost:
                     await asyncio.sleep(0.05)
 
     def _write_result(self) -> None:
-        self._poll_commits_final()
+        self._drain_commits()
         result = {
             "replica_id": self.replica_id,
             "protocol": self.experiment.protocol,
@@ -198,16 +213,24 @@ class ReplicaHost:
         tmp.write_text(json.dumps(result, indent=2, sort_keys=True))
         tmp.replace(self.result_path)
 
-    def _poll_commits_final(self) -> None:
-        """Drain any commits that landed since the last poll tick."""
-        self._stopping = True
-        self._poll_commits()
-
     def _shutdown(self) -> None:
         if self._stopping:
             return
+        self._stopping = True
         try:
             self._write_result()
+        finally:
+            self._stop_task = self.loop.create_task(self._stop())
+
+    async def _stop(self) -> None:
+        """Cancel what is still running, then stop the loop."""
+        try:
+            main = self._main_task
+            if main is not None and not main.done():
+                main.cancel()
+                with contextlib.suppress(asyncio.CancelledError):
+                    await main
+            await self.transport.stop()
         finally:
             self.loop.stop()
 
@@ -221,14 +244,13 @@ class ReplicaHost:
         await self._wait_for_peers()
         print(f"[replica {self.replica_id}] cluster up, starting", flush=True)
         self.replica.start()
-        self.loop.call_later(_FEEDBACK_INTERVAL, self._poll_commits)
         # Orphan backstop: if the manager never signals us, stop anyway.
         self.loop.call_later(self.duration + _ORPHAN_GRACE, self._shutdown)
 
     def run(self) -> None:
         self.loop.add_signal_handler(signal.SIGTERM, self._shutdown)
         self.loop.add_signal_handler(signal.SIGINT, self._shutdown)
-        self.loop.create_task(self._main())
+        self._main_task = self.loop.create_task(self._main())
         try:
             self.loop.run_forever()
         finally:

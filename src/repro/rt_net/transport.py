@@ -93,6 +93,8 @@ class TcpTransport:
         self._sender_tasks: dict[int, asyncio.Task] = {}
         self._server: asyncio.AbstractServer | None = None
         self._client_writers: dict[int, asyncio.StreamWriter] = {}
+        #: Inbound connection handler task -> its stream writer.
+        self._handlers: dict[asyncio.Task, asyncio.StreamWriter] = {}
         self._detached = False
         self.frames_sent = 0
         self.frames_received = 0
@@ -155,13 +157,22 @@ class TcpTransport:
         )
 
     async def stop(self) -> None:
+        """Stop sending and receiving and close every socket.
+
+        Sender tasks are cancelled; inbound connections (client reply
+        streams included) are closed, which ends their handlers at EOF
+        — cancelling a handler instead trips a bug in Python 3.11's
+        stream callback.  Both are awaited, so no task outlives the loop.
+        """
+        self._detached = True
         for task in self._sender_tasks.values():
             task.cancel()
-        for task in self._sender_tasks.values():
-            try:
-                await task
-            except (asyncio.CancelledError, Exception):
-                pass
+        for writer in self._handlers.values():
+            writer.close()
+        await asyncio.gather(
+            *self._sender_tasks.values(), *self._handlers,
+            return_exceptions=True,
+        )
         self._sender_tasks.clear()
         if self._server is not None:
             self._server.close()
@@ -176,6 +187,8 @@ class TcpTransport:
         decoder = FrameDecoder()
         kind = None
         sender_id = None
+        task = asyncio.current_task()
+        self._handlers[task] = writer
         try:
             while True:
                 data = await reader.read(65536)
@@ -209,6 +222,7 @@ class TcpTransport:
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
         finally:
+            self._handlers.pop(task, None)
             if kind == "client" and self._client_writers.get(sender_id) is writer:
                 del self._client_writers[sender_id]
             writer.close()

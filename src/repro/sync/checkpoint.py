@@ -590,20 +590,7 @@ class CheckpointManager:
         if pruned:
             replica._on_truncated(pruned)
         tracker = replica.commit_tracker
-        block_id = msg.block.id()
-        if block_id not in tracker.committed:
-            event = CommitEvent(
-                block_id=block_id,
-                round=msg.block.round,
-                height=msg.block.height,
-                committed_at=now,
-                created_at=msg.block.created_at,
-            )
-            tracker.committed[block_id] = event
-            tracker.commit_order.append(event)
-            tracker.snapshot_heights.add(msg.block.height)
-            if msg.block.round > tracker.highest_committed_round:
-                tracker.highest_committed_round = msg.block.round
+        tracker.install_snapshot(msg.block, now)
         self.executor.install_snapshot(
             msg.state,
             msg.applied_txids,

@@ -11,10 +11,11 @@ networked runtime, not just a statistical reference.
 from __future__ import annotations
 
 import asyncio
+import time
 
 import pytest
 
-from repro.experiments.spec import load_scenario
+from repro.experiments.spec import load_scenario, spec_to_mapping
 from repro.rt_net.clients import ClientFleet
 from repro.rt_net.differential import common_prefix_len, run_differential
 from repro.rt_net.manager import (
@@ -22,8 +23,13 @@ from repro.rt_net.manager import (
     _free_ports,
     unsupported_features,
 )
+from repro.rt_net.replica_proc import ReplicaHost
 from repro.rt_net.transport import TcpTransport, WallClock
-from repro.types.messages import ClientReplyMsg
+from repro.types.block import Block
+from repro.types.messages import ClientReplyMsg, ClientRequestMsg
+from repro.types.quorum_cert import QuorumCertificate
+from repro.types.transaction import Payload, Transaction
+from repro.types.vote import Vote
 
 SCENARIO = "scenarios/rt_smoke.toml"
 
@@ -113,6 +119,86 @@ class TestTcpTransport:
         assert received == [(0, message)]
 
 
+class TestReplicaHostReplies:
+    """Commit replies are event-driven: one loop pass after the commit."""
+
+    @pytest.fixture
+    def host(self, tmp_path):
+        spec = load_scenario(SCENARIO)
+        config = {
+            "spec": spec_to_mapping(spec),
+            "epoch": time.time(),
+            "ports": {rid: 1 for rid in range(spec.n)},  # never opened
+            "result_path": str(tmp_path / "result.json"),
+        }
+        host = ReplicaHost(config, 0)
+        yield host
+        host.loop.close()
+        asyncio.set_event_loop(None)
+
+    @staticmethod
+    def _one_pass(loop) -> None:
+        loop.call_soon(loop.stop)
+        loop.run_forever()
+
+    @staticmethod
+    def _timers(loop) -> list:
+        return [handle for handle in loop._scheduled if not handle.cancelled()]
+
+    def _commit_chain(self, host, transaction):
+        """Certify a 3-chain whose head carries ``transaction``."""
+        store = host.replica.store
+        quorum = host.replica.config.quorum()
+        parent = store.root_block()
+        blocks = []
+        for round_number in (1, 2, 3):
+            carried = () if blocks else (transaction,)
+            block = Block(
+                parent_id=parent.id(), qc=store.qc_for(parent.id()),
+                round=round_number, height=parent.height + 1,
+                proposer=0, payload=Payload(transactions=carried),
+            )
+            store.add_block(block)
+            votes = tuple(
+                Vote(block_id=block.id(), block_round=round_number,
+                     height=block.height, voter=voter)
+                for voter in range(quorum)
+            )
+            qc = QuorumCertificate(block_id=block.id(), round=round_number,
+                                   height=block.height, votes=votes)
+            store.record_qc(qc)
+            blocks.append(block)
+            parent = block
+        return blocks, host.replica.commit_tracker.on_new_qc(qc, now=1.0)
+
+    def test_routed_tx_gets_one_reply_after_one_loop_pass(self, host):
+        sent = []
+        host.transport.send_to_client = lambda cid, msg: sent.append((cid, msg))
+        transaction = Transaction(client_id=7, sequence=1, payload=b"k=v")
+        request = ClientRequestMsg(sender=7, transaction=transaction)
+        host._on_client_message(7, request)
+        assert host.mempool.pending_count() == 1
+        assert self._timers(host.loop) == []
+
+        blocks, newly = self._commit_chain(host, transaction)
+        assert blocks[0].id() in [event.block_id for event in newly]
+        assert sent == []  # nothing leaves from inside the commit path
+
+        self._one_pass(host.loop)
+        assert len(sent) == 1
+        client_id, reply = sent[0]
+        assert client_id == 7 and reply.txid == transaction.txid()
+        assert reply.block_id == blocks[0].id() and reply.sender == 0
+        assert host.replies_sent == 1
+        assert host.mempool.pending_count() == 0
+        assert host.committed[-1][2] == blocks[0].id().hex()
+
+        # No periodic timer: an idle pass sends nothing, schedules nothing.
+        self._one_pass(host.loop)
+        assert len(sent) == 1
+        assert self._timers(host.loop) == []
+
+
 class TestRuntimeManager:
     def test_rejects_faulty_specs(self):
         faulty = load_scenario(SCENARIO).with_overrides(**{"faults.crash": 1})
@@ -146,9 +232,10 @@ class TestDifferential:
 
 
 class TestClientFleet:
-    def test_requests_acknowledged_at_f_plus_1(self, tmp_path):
+    @pytest.fixture(scope="class")
+    def run(self, tmp_path_factory):
         spec = load_scenario(SCENARIO)
-        manager = RuntimeManager(spec, workdir=tmp_path)
+        manager = RuntimeManager(spec, workdir=tmp_path_factory.mktemp("rt-run"))
         try:
             manager.start()
             manager.wait_ready()
@@ -162,7 +249,22 @@ class TestClientFleet:
             report = manager.stop()
         finally:
             manager.cleanup()
+        return fleet, report
+
+    def test_requests_acknowledged_at_f_plus_1(self, run):
+        fleet, report = run
         assert fleet.total_submitted() > 0
         assert fleet.total_acked() > 0
         assert report.total_replies() >= fleet.total_acked()
         assert report.chains_agree()
+
+    def test_replicas_shut_down_cleanly(self, run):
+        """SIGTERM stops the transport before the loop: no task is left
+        pending and nothing touches the closed loop."""
+        _fleet, report = run
+        assert len(report.log_paths) == report.spec.n
+        for replica_id, path in report.log_paths.items():
+            log = path.read_text()
+            assert "stopped with" in log, (replica_id, log)
+            for marker in ("Traceback", "Task was destroyed"):
+                assert marker not in log, (replica_id, log)

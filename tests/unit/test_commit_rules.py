@@ -71,6 +71,65 @@ class TestStreamletRegularCommit:
         ) == []
 
 
+class TestCommitListeners:
+    def _tracker(self, builder):
+        tracker = CommitTracker(builder.store, f=1, rule="diembft")
+        batches = []
+        tracker.add_commit_listener(batches.append)
+        return tracker, batches
+
+    def test_one_call_per_batch_with_the_appended_events(self, builder):
+        tracker, batches = self._tracker(builder)
+        blocks = builder.chain(builder.genesis, [1, 2, 5, 6, 7, 8])
+        returned = []
+        for block in blocks:
+            before = len(tracker.commit_order)
+            newly = tracker.on_new_qc(builder.store.qc_for(block.id()), now=1.0)
+            if newly:
+                returned.append(newly)
+                assert tracker.commit_order[before:] == newly
+        assert batches == returned
+        # (0, 1, 2) commits genesis, (5, 6, 7) B_1 through B_5, then
+        # (6, 7, 8) adds B_6.
+        assert [[event.round for event in batch] for batch in batches] == [
+            [0], [1, 2, 5], [6],
+        ]
+        assert [event for batch in batches for event in batch] == (
+            tracker.commit_order
+        )
+
+    def test_silent_when_nothing_commits(self, builder):
+        tracker, batches = self._tracker(builder)
+        blocks = builder.chain(builder.genesis, [2, 3, 5])
+        for block in blocks:
+            assert tracker.on_new_qc(builder.store.qc_for(block.id()), now=1.0) == []
+        assert batches == []
+        commit = builder.chain(blocks[-1], [6, 7])
+        qc = builder.store.qc_for(commit[-1].id())
+        first = tracker.on_new_qc(qc, now=2.0)
+        assert batches == [first]
+        assert tracker.on_new_qc(qc, now=3.0) == []  # replayed QC
+        assert batches == [first]
+
+    def test_fires_on_snapshot_install(self, builder):
+        tracker, batches = self._tracker(builder)
+        blocks = builder.chain(builder.genesis, [1, 2, 3, 4, 5, 6])
+        tracker.install_snapshot(blocks[2], now=7.0)
+        assert batches == [tracker.commit_order]
+        [event] = tracker.commit_order
+        assert event.block_id == blocks[2].id()
+        assert event.height == 3 and event.committed_at == 7.0
+        assert tracker.snapshot_heights == {3}
+        assert tracker.highest_committed_round == 3
+        # Re-installing a committed block changes nothing.
+        tracker.install_snapshot(blocks[2], now=8.0)
+        assert batches == [[event]] and tracker.commit_order == [event]
+        # A later 3-chain (4, 5, 6) commits only what lies above it.
+        newly = tracker.on_new_qc(builder.store.qc_for(blocks[5].id()), now=9.0)
+        assert [e.block_id for e in newly] == [blocks[3].id()]
+        assert batches == [[event], newly]
+
+
 class TestStrongCommits:
     def _setup(self, builder):
         endorsement = EndorsementTracker(builder.store, mode="round")
